@@ -496,11 +496,12 @@ func (c *Client) createSet(path string) []string {
 }
 
 // callAddr sends one request to one server — dialing it on first use —
-// failing the server over on a transport-level error. Context
-// cancellation is not a server failure: the exchange is abandoned (the
-// late response's frame still returns to the lease pool) and the typed
-// ErrCanceled surfaces instead.
-func (c *Client) callAddr(ctx context.Context, addr, path string, req *transport.Request) (*transport.Response, error) {
+// failing the server over on a transport-level error. A reply payload
+// lands in dst when one is given (see transport.MuxConn.StartInto).
+// Context cancellation is not a server failure: the exchange is
+// abandoned (the late response's frame still returns to the lease
+// pool) and the typed ErrCanceled surfaces instead.
+func (c *Client) callAddr(ctx context.Context, addr, path string, req *transport.Request, dst ...[]byte) (*transport.Response, error) {
 	p, err := c.ensurePool(addr)
 	if err != nil {
 		return nil, err
@@ -514,7 +515,7 @@ func (c *Client) callAddr(ctx context.Context, addr, path string, req *transport
 	req.Job = c.job
 	req.Path = path
 	start := time.Now()
-	resp, err := mc.Call(ctx, req)
+	resp, err := mc.CallInto(ctx, req, dst)
 	if err != nil {
 		if isCtxErr(err) {
 			return nil, canceled(err)
@@ -1233,18 +1234,15 @@ func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, er
 		resp, err := c.callAddr(ctx, set[0], h.path, &transport.Request{
 			Type: transport.MsgRead, Offset: h.off, Size: int64(len(p)),
 			LayoutGen: h.layoutGen,
-		})
+		}, p)
 		if err != nil {
 			return 0, err
 		}
 		if resp.Err != "" {
 			return 0, wireErr(resp.Error())
 		}
-		copy(p, resp.Data)
 		h.off += resp.N
-		n := int(resp.N)
-		resp.Release()
-		return n, nil
+		return int(resp.N), nil
 	}
 	// The handle's tracked size clamps the read (no per-read stat storm
 	// on the path that exists to scale bandwidth); writes through other
@@ -1264,7 +1262,7 @@ func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, er
 	g0, g1 := h.off, h.off+want
 	// Each server's touched units are consecutive multiples of the unit
 	// in its local stripe, so its byte range is contiguous: track the
-	// local [lo,hi) per server, read once, then scatter units back.
+	// local [lo,hi) per server and read it once, straight into p.
 	lo := make([]int64, len(set))
 	hi := make([]int64, len(set))
 	for i := range lo {
@@ -1297,7 +1295,7 @@ func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, er
 		go func(i int, addr string) {
 			defer wg.Done()
 			errs[i] = c.readStripe(ctx, addr, h.path, i, len(set), unit,
-				lo[i], hi[i], h.layoutGen, p, g0, g1)
+				lo[i], hi[i], h.layoutGen, p, g0)
 		}(i, addr)
 	}
 	wg.Wait()
@@ -1323,12 +1321,12 @@ const readChunk = 512 << 10
 // [lo,hi) of a striped read as a window of chunk RPCs — readahead that
 // needs no round trip between chunks (reads at explicit offsets are
 // idempotent, so unlike writes this pipelining needs no server
-// capability) — and scatters each arriving chunk's units straight into
-// p. Chunks spread over every pool connection (PickSpread): explicit
-// offsets make order irrelevant, so the pool's paths carry the socket
-// reads and frame decodes in parallel. Transport-level errors fail the
-// server over.
-func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripes int, unit int64, lo, hi int64, layoutGen uint64, p []byte, g0, g1 int64) error {
+// capability) — and each chunk's reply lands straight in p, through
+// iovecs that map its local bytes to their global positions. Chunks
+// spread over every pool connection (PickSpread): explicit offsets make
+// order irrelevant, so the pool's paths carry the socket reads in
+// parallel. Transport-level errors fail the server over.
+func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripes int, unit int64, lo, hi int64, layoutGen uint64, p []byte, g0 int64) error {
 	pool, err := c.ensurePool(addr)
 	if err != nil {
 		return err
@@ -1354,7 +1352,6 @@ func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripe
 			}
 			return
 		}
-		defer resp.Release()
 		if resp.Err != "" {
 			if appErr == nil {
 				appErr = wireErr(resp.Error())
@@ -1363,9 +1360,7 @@ func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripe
 		}
 		if resp.N < ck.n && appErr == nil {
 			appErr = fmt.Errorf("client: short stripe read from %s: %d < %d", addr, resp.N, ck.n)
-			return
 		}
-		scatterLocal(p, g0, g1, idx, nStripes, unit, ck.off, resp.Data[:ck.n])
 	}
 	acquire := func() bool {
 		for {
@@ -1404,10 +1399,10 @@ func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripe
 			break
 		}
 		seq := c.seq.Add(1)
-		ch, err := mc.Start(&transport.Request{
+		ch, err := mc.StartInto(&transport.Request{
 			Type: transport.MsgRead, Seq: seq, Job: c.job, Path: path,
 			Offset: off, Size: n, LayoutGen: layoutGen,
-		})
+		}, stripeIovecs(p, g0, idx, nStripes, unit, off, n))
 		if err != nil {
 			pool.ReleaseRead()
 			netErr = err
@@ -1436,37 +1431,20 @@ func (c *Client) readStripe(ctx context.Context, addr, path string, idx, nStripe
 	return appErr
 }
 
-// scatterLocal copies one stripe-local contiguous chunk (starting at
-// local offset a on stripe idx) into its global positions in p, whose
-// first byte is global offset g0. The round-robin inverse: local unit
-// l/unit is global unit (l/unit)*nStripes+idx.
-func scatterLocal(p []byte, g0, g1 int64, idx, nStripes int, unit, a int64, data []byte) {
-	for l := a; l < a+int64(len(data)); {
-		lu := l / unit
-		unitEnd := (lu + 1) * unit
-		end := a + int64(len(data))
-		if end > unitEnd {
-			end = unitEnd
-		}
-		g := (lu*int64(nStripes)+int64(idx))*unit + l%unit
-		// Clamp to the requested global window (the first and last
-		// touched units may be partial; a unit wholly outside the
-		// window is dropped, not sliced out of range).
-		src := data[l-a : end-a]
-		if g >= g1 || g+int64(len(src)) <= g0 {
-			l = end
-			continue
-		}
-		if g < g0 {
-			src = src[g0-g:]
-			g = g0
-		}
-		if g+int64(len(src)) > g1 {
-			src = src[:g1-g]
-		}
-		copy(p[g-g0:], src)
-		l = end
+// stripeIovecs returns the spans of p that local bytes [a, a+n) of
+// stripe idx belong in, in local order; p's first byte is global offset
+// g0. The round-robin inverse: local unit l/unit is global unit
+// (l/unit)*nStripes+idx. The range must lie inside p's window, as each
+// server's [lo,hi) of a striped read does.
+func stripeIovecs(p []byte, g0 int64, idx, nStripes int, unit, a, n int64) [][]byte {
+	iov := make([][]byte, 0, n/unit+2)
+	for l, end := a, a+n; l < end; {
+		next := min((l/unit+1)*unit, end)
+		g := (l/unit*int64(nStripes)+int64(idx))*unit + l%unit - g0
+		iov = append(iov, p[g:g+next-l])
+		l = next
 	}
+	return iov
 }
 
 // Lseek repositions the handle. Whence follows POSIX: 0=set, 1=cur,

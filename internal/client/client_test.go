@@ -17,13 +17,20 @@ import (
 // needs no server fabric: placement is the client's ring).
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
+	return startServersOn(t, n, func(ln net.Listener) net.Listener { return ln })
+}
+
+// startServersOn is startServers with each server's listener passed
+// through wrap first.
+func startServersOn(t *testing.T, n int, wrap func(net.Listener) net.Listener) []string {
+	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := server.New(ln, server.Config{
+		s := server.New(wrap(ln), server.Config{
 			Policy: policy.SizeFair,
 			Lambda: 50 * time.Millisecond,
 			Seed:   int64(i + 1),

@@ -2,8 +2,11 @@ package client
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -142,12 +145,14 @@ func TestBDPEstimator(t *testing.T) {
 	}
 }
 
-// scatterLocal is the inverse of the round-robin split: reconstructing
-// a random global window from random per-stripe chunks must reproduce
-// the original bytes exactly.
-func TestScatterLocalProperty(t *testing.T) {
+// stripeIovecs is the inverse of the round-robin split: for random
+// stripe counts, units, windows and chunk sizes, the iovecs of every
+// chunk of a server's local range are non-empty, disjoint, in local
+// order and sum to the chunk length, and copying the local bytes
+// through them rebuilds the global window exactly.
+func TestStripeIovecsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		nStripes := 1 + rng.Intn(5)
 		unit := int64(1 + rng.Intn(200))
 		total := int64(rng.Intn(5000))
@@ -162,24 +167,67 @@ func TestScatterLocalProperty(t *testing.T) {
 			idx := int(gu % int64(nStripes))
 			locals[idx] = append(locals[idx], global[off])
 		}
-		// Pick a random global window and rebuild it via scatterLocal
-		// from randomly sized local chunks.
 		g0 := int64(rng.Intn(int(total + 1)))
 		g1 := g0 + int64(rng.Intn(int(total-g0+1)))
+		// Each stripe's local [lo,hi) that the window touches.
+		lo := make([]int64, nStripes)
+		hi := make([]int64, nStripes)
+		for i := range lo {
+			lo[i] = -1
+		}
+		for off := g0; off < g1; off++ {
+			gu := off / unit
+			idx := int(gu % int64(nStripes))
+			l := gu/int64(nStripes)*unit + off%unit
+			if lo[idx] < 0 {
+				lo[idx] = l
+			}
+			hi[idx] = l + 1
+		}
 		got := make([]byte, g1-g0)
+		covered := make([]bool, len(got))
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("trial %d (stripes=%d unit=%d total=%d window=[%d,%d)): %s",
+				trial, nStripes, unit, total, g0, g1, fmt.Sprintf(format, args...))
+		}
 		for idx := 0; idx < nStripes; idx++ {
-			for a := int64(0); a < int64(len(locals[idx])); {
-				n := int64(1 + rng.Intn(300))
-				if a+n > int64(len(locals[idx])) {
-					n = int64(len(locals[idx])) - a
+			if lo[idx] < 0 {
+				continue
+			}
+			for a := lo[idx]; a < hi[idx]; {
+				n := min(int64(1+rng.Intn(300)), hi[idx]-a)
+				src := locals[idx][a : a+n]
+				prevEnd, sum := -1, int64(0)
+				for _, seg := range stripeIovecs(got, g0, idx, nStripes, unit, a, n) {
+					// A span of got starts at cap(got)-cap(seg).
+					at := cap(got) - cap(seg)
+					if len(seg) == 0 || at < prevEnd {
+						fail("chunk [%d,%d) of stripe %d: empty or out-of-order iovec at %d", a, a+n, idx, at)
+					}
+					for i := at; i < at+len(seg); i++ {
+						if covered[i] {
+							fail("window byte %d covered twice", i)
+						}
+						covered[i] = true
+					}
+					src = src[copy(seg, src):]
+					prevEnd = at + len(seg)
+					sum += int64(len(seg))
 				}
-				scatterLocal(got, g0, g1, idx, nStripes, unit, a, locals[idx][a:a+n])
+				if sum != n {
+					fail("chunk [%d,%d) of stripe %d: iovecs sum to %d", a, a+n, idx, sum)
+				}
 				a += n
 			}
 		}
+		for i, c := range covered {
+			if !c {
+				fail("window byte %d never covered", i)
+			}
+		}
 		if !bytes.Equal(got, global[g0:g1]) {
-			t.Fatalf("trial %d (stripes=%d unit=%d total=%d window=[%d,%d)): scatter mismatch",
-				trial, nStripes, unit, total, g0, g1)
+			fail("de-stripe mismatch")
 		}
 	}
 }
@@ -221,4 +269,99 @@ func aliases(base, sub []byte) bool {
 		}
 	}
 	return false
+}
+
+// dribbleListener hands out connections whose writes leave in 32 KiB
+// pieces with a pause between them, so a reply's payload is still
+// arriving well after its head was read.
+type dribbleListener struct{ net.Listener }
+
+func (l dribbleListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return dribbleConn{c}, nil
+}
+
+type dribbleConn struct{ net.Conn }
+
+func (c dribbleConn) Write(p []byte) (int, error) {
+	n := 0
+	for len(p) > 0 {
+		w, err := c.Conn.Write(p[:min(len(p), 32<<10)])
+		n += w
+		p = p[w:]
+		if err != nil {
+			return n, err
+		}
+		if len(p) > 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return n, nil
+}
+
+// Striped reads land in the caller's buffer while they are in flight,
+// so a canceled ReadContext must not return until nothing can write
+// there any more. Reads of more chunks than the read window, from
+// servers that dribble their replies out, are canceled mid-flight in a
+// loop; after each ErrCanceled the buffer is refilled with a sentinel,
+// late replies are given time to arrive, and the sentinel must
+// survive. Completed reads are checked against the file. Lease
+// poisoning makes any write from a recycled frame show as well.
+func TestReadCancelLeavesBuffer(t *testing.T) {
+	transport.SetLeasePoison(true)
+	defer transport.SetLeasePoison(false)
+	addrs := startServersOn(t, 2, func(ln net.Listener) net.Listener { return dribbleListener{ln} })
+	c, err := DialOpts(testJob("cancel"), addrs, Options{
+		Stripes: 2, StripeUnit: 64 << 10, ConnsPerServer: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	f, err := c.Open("/cancel.bin", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 10<<20)
+	for i := range want {
+		want[i] = byte(i*7 + i>>12)
+	}
+	if _, err := f.Write(want); err != nil {
+		t.Fatal(err)
+	}
+	sentinel := bytes.Repeat([]byte{0x5a}, len(want))
+	buf := make([]byte, len(want))
+	rng := rand.New(rand.NewSource(11))
+	canceled := 0
+	for iter := 0; canceled < 10; iter++ {
+		if iter == 500 {
+			t.Fatalf("only %d of %d reads were canceled mid-flight", canceled, iter)
+		}
+		if _, err := f.Seek(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(time.Duration(rng.Intn(2000))*time.Microsecond, cancel)
+		n, err := f.ReadContext(ctx, buf)
+		if err == nil {
+			if n != len(want) || !bytes.Equal(buf, want) {
+				t.Fatalf("iteration %d: completed read returned %d bytes, content mismatch", iter, n)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("iteration %d: %v, want ErrCanceled", iter, err)
+		}
+		canceled++
+		copy(buf, sentinel)
+		time.Sleep(10 * time.Millisecond)
+		for i, v := range buf {
+			if v != sentinel[i] {
+				t.Fatalf("iteration %d: byte %d written after ReadContext returned", iter, i)
+			}
+		}
+	}
 }

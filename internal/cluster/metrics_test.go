@@ -159,9 +159,9 @@ func sameShares(a, b []transport.ShareRecord) bool {
 // servers with backing stores are flooded with striped traffic from two
 // jobs while each server's /metrics endpoint is scraped. The scrape
 // must carry live families from every layer — scheduler, transport,
-// worker latency histograms, backing, rebalance, cluster — and, once
-// the flood stops, the per-entity share residual gauges must agree with
-// the MsgShareReport wire report to within 0.001.
+// worker latency histograms, backing, rebalance, cluster — and, during
+// the flood, the per-entity share residual gauges must agree with the
+// MsgShareReport wire report to within 0.001.
 func TestFabricMetricsLive(t *testing.T) {
 	servers, addrs, endpoints := startMetricsFabric(t, 4)
 
@@ -270,14 +270,14 @@ func TestFabricMetricsLive(t *testing.T) {
 		return false
 	})
 
-	close(stop)
-	wg.Wait()
-
 	// Residual agreement: the share gauges a scrape renders and the
-	// MsgShareReport wire report read the same ledger. The flood has
-	// stopped, so the report goes quiet; bracketing the scrape with two
-	// identical RPC reads rejects the rare scrape that straddles a λ
-	// roll.
+	// MsgShareReport wire report read the same ledger. Both are taken
+	// while the flood still runs, so the flood jobs' rows are inside the
+	// ledger horizon on every server; after the flood, stage-out keeps
+	// the ledger rolling and ages them out before the later servers are
+	// checked. The report only changes at a λ roll, so bracketing the
+	// scrape with two identical RPC reads rejects the scrape that
+	// straddles one.
 	for i, ep := range endpoints {
 		i, ep := i, ep
 		waitFor(t, 10*time.Second, fmt.Sprintf("share residual agreement on server %d", i), func() bool {
@@ -308,4 +308,6 @@ func TestFabricMetricsLive(t *testing.T) {
 			return seenFlood
 		})
 	}
+	close(stop)
+	wg.Wait()
 }

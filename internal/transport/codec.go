@@ -85,10 +85,7 @@ func (c *Conn) writeBinFrame(data []byte, segs [][]byte,
 
 	n := len(data)
 	if segs != nil {
-		n = 0
-		for _, s := range segs {
-			n += len(s)
-		}
+		n = iovLen(segs)
 	}
 	buf := getFrameBuf()
 	b := buf.b[:0]
@@ -178,20 +175,31 @@ func (c *Conn) writeBinFrame(data []byte, segs [][]byte,
 // — normally to the decoded message, whose byte-slice Data aliases the
 // frame and whose Release returns it (see Lease/Release).
 func (c *Conn) readFrameLeased() ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	n, err := c.readFrameLen()
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("transport: frame of %d bytes", n)
-	}
-	b := Lease(int(n))
+	b := Lease(n)
 	if _, err := io.ReadFull(c.br, b); err != nil {
 		Release(b)
 		return nil, err
 	}
 	return b, nil
+}
+
+// readFrameLen consumes a frame's length prefix. Peek rather than a
+// local array keeps the prefix off the heap.
+func (c *Conn) readFrameLen() (int, error) {
+	hdr, err := c.br.Peek(4)
+	if err != nil {
+		return 0, err
+	}
+	n := int(binary.LittleEndian.Uint32(hdr))
+	if n > maxFrame {
+		return 0, fmt.Errorf("transport: frame of %d bytes", n)
+	}
+	_, err = c.br.Discard(4)
+	return n, err
 }
 
 // --- primitive writers ---------------------------------------------------
@@ -625,10 +633,27 @@ func appendResponse(b []byte, r *Response) []byte {
 
 func decodeResponse(b []byte, r *Response) error {
 	d := reader{b: b}
+	if n := decodeResponseHead(&d, r); n > 0 {
+		r.Data = d.raw(n)
+	}
+	decodeResponseTail(&d, r)
+	return d.err
+}
+
+// decodeResponseHead decodes the fields up to and including the payload
+// length and returns that length — everything the receive path needs
+// to claim a waiter before the payload bytes are read.
+func decodeResponseHead(d *reader, r *Response) uint64 {
 	r.Seq = d.uvarint()
 	r.Err = d.str()
 	r.N = d.svarint()
-	r.Data = d.alias()
+	return d.uvarint()
+}
+
+// decodeResponseTail decodes the fields after the payload. Nothing it
+// decodes aliases d's buffer, so the tail may be decoded from transient
+// read-buffer bytes.
+func decodeResponseTail(d *reader, r *Response) {
 	r.Size = d.svarint()
 	r.IsDir = d.bool()
 	r.Names = d.strs()
@@ -647,5 +672,4 @@ func decodeResponse(b []byte, r *Response) error {
 	if d.err == nil && len(d.b) > 0 {
 		r.Caps = d.uvarint()
 	}
-	return d.err
 }

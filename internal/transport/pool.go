@@ -55,39 +55,61 @@ type MuxConn struct {
 	dead atomic.Bool
 
 	mu   sync.Mutex
-	wait map[uint64]chan *Response
+	wait map[uint64]waiter
 	err  error
 }
 
+// waiter is one started exchange: the channel its response is
+// delivered on and, when registered with StartInto, the iovecs its
+// reply payload lands in.
+type waiter struct {
+	ch  chan *Response
+	dst [][]byte
+}
+
 func newMuxConn(conn *Conn, caps *atomic.Uint64) *MuxConn {
-	mc := &MuxConn{conn: conn, caps: caps, wait: map[uint64]chan *Response{}}
+	mc := &MuxConn{conn: conn, caps: caps, wait: map[uint64]waiter{}}
 	go mc.reader()
 	return mc
 }
 
+// reader claims each frame's waiter as soon as the frame's head is
+// parsed — under mc.mu, once per frame — so a waiter's destination
+// receives the payload straight from the socket. A claimed waiter is
+// out of the map: it always gets the response, or a closed channel if
+// the connection dies mid-frame.
 func (mc *MuxConn) reader() {
+	var cur waiter
+	var claimed bool
+	claim := func(seq uint64) [][]byte {
+		mc.mu.Lock()
+		cur, claimed = mc.wait[seq]
+		delete(mc.wait, seq)
+		mc.mu.Unlock()
+		return cur.dst
+	}
 	for {
-		resp, err := mc.conn.RecvResponse()
+		claimed = false
+		resp, err := mc.conn.recvResponseInto(claim)
 		if err != nil {
 			mc.dead.Store(true)
 			mc.mu.Lock()
 			mc.err = err
-			for _, ch := range mc.wait {
-				close(ch)
+			if claimed {
+				close(cur.ch)
 			}
-			mc.wait = map[uint64]chan *Response{}
+			for _, w := range mc.wait {
+				close(w.ch)
+			}
+			mc.wait = map[uint64]waiter{}
 			mc.mu.Unlock()
 			return
 		}
 		if resp.Caps != 0 && mc.caps != nil {
 			mc.caps.Store(resp.Caps)
 		}
-		mc.mu.Lock()
-		ch, ok := mc.wait[resp.Seq]
-		delete(mc.wait, resp.Seq)
-		mc.mu.Unlock()
-		if ok {
-			ch <- resp
+		if claimed {
+			cur.ch <- resp
 		} else {
 			// No waiter (caller torn down mid-exchange): the leased
 			// frame goes straight back to the pool.
@@ -98,9 +120,17 @@ func (mc *MuxConn) reader() {
 
 // Start registers req's response channel and puts the request on the
 // wire without waiting — the building block of pipelined stripe I/O.
-// The caller must receive exactly once from the returned channel; a
-// closed channel means the connection died.
-func (mc *MuxConn) Start(req *Request) (chan *Response, error) {
+// The caller must receive exactly once from the returned channel (or
+// Forget the exchange); a closed channel means the connection died.
+func (mc *MuxConn) Start(req *Request) (chan *Response, error) { return mc.StartInto(req, nil) }
+
+// StartInto is Start with a destination for the reply payload: the
+// reader lands the payload bytes in dst, in order, and delivers a
+// Response without Data. dst belongs to the exchange until the
+// response (or the closed channel) has been received, or Forget has
+// returned. A reply whose payload exceeds dst fails the connection.
+// A nil dst is Start.
+func (mc *MuxConn) StartInto(req *Request, dst [][]byte) (chan *Response, error) {
 	ch := make(chan *Response, 1)
 	mc.mu.Lock()
 	if mc.err != nil {
@@ -108,7 +138,7 @@ func (mc *MuxConn) Start(req *Request) (chan *Response, error) {
 		mc.mu.Unlock()
 		return nil, err
 	}
-	mc.wait[req.Seq] = ch
+	mc.wait[req.Seq] = waiter{ch: ch, dst: dst}
 	mc.mu.Unlock()
 	if err := mc.conn.SendRequest(req); err != nil {
 		mc.mu.Lock()
@@ -119,20 +149,22 @@ func (mc *MuxConn) Start(req *Request) (chan *Response, error) {
 	return ch, nil
 }
 
-// Forget abandons a started exchange (context cancellation): the waiter
-// is deregistered so the reader releases the late response's frame, and
-// anything already delivered into the buffered channel is released
-// here.
+// Forget abandons a started exchange (context cancellation). A waiter
+// the reader has not claimed yet is deregistered, so the late response
+// goes back to the lease pool. One the reader already claimed may be
+// landing its payload in the caller's buffers right now: Forget waits
+// for that frame to finish (or the connection to die) and releases the
+// response, so the buffers are the caller's again when it returns.
 func (mc *MuxConn) Forget(seq uint64, ch chan *Response) {
 	mc.mu.Lock()
+	_, pending := mc.wait[seq]
 	delete(mc.wait, seq)
 	mc.mu.Unlock()
-	select {
-	case resp, ok := <-ch:
-		if ok && resp != nil {
-			resp.Release()
-		}
-	default:
+	if pending {
+		return
+	}
+	if resp, ok := <-ch; ok {
+		resp.Release()
 	}
 }
 
@@ -140,7 +172,14 @@ func (mc *MuxConn) Forget(seq uint64, ch chan *Response) {
 // cancellation the waiter is abandoned (the late response's frame still
 // returns to the lease pool) and ctx.Err() is returned.
 func (mc *MuxConn) Call(ctx context.Context, req *Request) (*Response, error) {
-	ch, err := mc.Start(req)
+	return mc.CallInto(ctx, req, nil)
+}
+
+// CallInto is Call with a destination for the reply payload (see
+// StartInto). On cancellation it returns only once dst is no longer
+// being written.
+func (mc *MuxConn) CallInto(ctx context.Context, req *Request, dst [][]byte) (*Response, error) {
+	ch, err := mc.StartInto(req, dst)
 	if err != nil {
 		return nil, err
 	}

@@ -261,11 +261,7 @@ func (r *Request) payloadLen() int {
 	if r.DataSegs == nil {
 		return len(r.Data)
 	}
-	n := 0
-	for _, s := range r.DataSegs {
-		n += len(s)
-	}
-	return n
+	return iovLen(r.DataSegs)
 }
 
 // Release returns the leased frame buffer this request's Data aliases
@@ -573,37 +569,147 @@ func (c *Conn) RecvRequest() (*Request, error) {
 }
 
 // RecvResponse reads a response frame (client side).
-func (c *Conn) RecvResponse() (*Response, error) {
+func (c *Conn) RecvResponse() (*Response, error) { return c.recvResponseInto(nil) }
+
+// recvResponseInto reads one response frame. claim (nil: no claims) is
+// called exactly once per frame with the response's Seq, before any of
+// its payload is consumed. A non-nil destination it returns receives
+// the payload: on the binary codec the bytes are read from the socket
+// straight into those iovecs, and the returned Response carries no
+// Data and no lease. Frames whose head does not fit the read buffer,
+// and gob-coded streams, decode whole and land with one copy. A
+// payload larger than the destination fails the frame before a byte
+// of it is written. Reader goroutine only.
+func (c *Conn) recvResponseInto(claim func(seq uint64) [][]byte) (*Response, error) {
 	if err := c.detect(); err != nil {
 		return nil, err
 	}
-	if c.recvBin {
-		b, err := c.readFrameLeased()
-		if err != nil {
+	r := new(Response)
+	if !c.recvBin {
+		if c.dec == nil {
+			c.dec = gob.NewDecoder(c.br)
+		}
+		if err := c.dec.Decode(r); err != nil {
 			return nil, err
 		}
-		r := new(Response)
+		return r, c.landDecoded(r, claim)
+	}
+	n, err := c.readFrameLen()
+	if err != nil {
+		return nil, err
+	}
+	// Peek the head: at most the frame, at most the read buffer, so it
+	// never parses bytes of the next frame.
+	head, err := c.br.Peek(min(n, c.br.Size()))
+	if err != nil {
+		return nil, err
+	}
+	d := reader{b: head}
+	plen := decodeResponseHead(&d, r)
+	hl := len(head) - len(d.b)
+	var dst [][]byte
+	switch {
+	case d.err != nil && len(head) == n:
+		return nil, d.err
+	case d.err != nil:
+		// A head longer than the read buffer (a long error string):
+		// the whole-frame decode below claims the waiter.
+	case plen > uint64(n-hl):
+		return nil, fmt.Errorf("transport: payload of %d bytes overruns a %d-byte frame", plen, n)
+	case claim != nil:
+		dst = claim(r.Seq)
+		if dst == nil {
+			claim = nil // claimed; landDecoded must not claim again
+		}
+	}
+	if dst == nil {
+		// No destination: decode the whole frame into a lease, which
+		// the decoded Data aliases until the response's Release.
+		b := Lease(n)
+		if _, err := io.ReadFull(c.br, b); err != nil {
+			Release(b)
+			return nil, err
+		}
 		if err := decodeResponse(b, r); err != nil {
 			Release(b)
 			return nil, err
 		}
 		r.frame = b
-		if c.stats != nil {
-			c.noteRecv(respSlot)
-		}
-		return r, nil
+		return r, c.landDecoded(r, claim)
 	}
-	if c.dec == nil {
-		c.dec = gob.NewDecoder(c.br)
+	if plen > uint64(iovLen(dst)) {
+		return nil, fmt.Errorf("transport: payload of %d bytes overruns a %d-byte destination", plen, iovLen(dst))
 	}
-	var r Response
-	if err := c.dec.Decode(&r); err != nil {
+	if _, err := c.br.Discard(hl); err != nil {
 		return nil, err
 	}
+	for left := int(plen); left > 0; dst = dst[1:] {
+		seg := dst[0][:min(left, len(dst[0]))]
+		if _, err := io.ReadFull(c.br, seg); err != nil {
+			return nil, err
+		}
+		left -= len(seg)
+	}
+	// The tail is a few bytes on a data reply; a long one (a hostile or
+	// control-plane frame) is read whole, decoded and dropped.
+	tl := n - hl - int(plen)
+	var tail []byte
+	if tl <= c.br.Size() {
+		if tail, err = c.br.Peek(tl); err == nil {
+			_, err = c.br.Discard(tl)
+		}
+	} else {
+		tail = make([]byte, tl)
+		_, err = io.ReadFull(c.br, tail)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d = reader{b: tail}
+	decodeResponseTail(&d, r)
+	if d.err != nil {
+		return nil, d.err
+	}
+	c.noteResp()
+	return r, nil
+}
+
+// landDecoded finishes a fully decoded response: it claims the waiter
+// (a nil claim: already claimed, or none to make) and, when the waiter
+// registered a destination, copies the payload there and drops the
+// frame — the one-copy fallback of recvResponseInto.
+func (c *Conn) landDecoded(r *Response, claim func(seq uint64) [][]byte) error {
+	if claim != nil {
+		if dst := claim(r.Seq); dst != nil {
+			if len(r.Data) > iovLen(dst) {
+				r.Release()
+				return fmt.Errorf("transport: payload of %d bytes overruns a %d-byte destination", len(r.Data), iovLen(dst))
+			}
+			for src := r.Data; len(src) > 0; dst = dst[1:] {
+				src = src[copy(dst[0], src):]
+			}
+			r.Release()
+			r.Data = nil
+		}
+	}
+	c.noteResp()
+	return nil
+}
+
+// noteResp attributes a received response to the stats, if any.
+func (c *Conn) noteResp() {
 	if c.stats != nil {
 		c.noteRecv(respSlot)
 	}
-	return &r, nil
+}
+
+// iovLen is the total length of an iovec list.
+func iovLen(iov [][]byte) int {
+	n := 0
+	for _, s := range iov {
+		n += len(s)
+	}
+	return n
 }
 
 // Close closes the underlying connection.
