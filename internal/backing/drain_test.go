@@ -97,7 +97,7 @@ func TestDrainAndRehydrate(t *testing.T) {
 	}
 
 	// Unlink propagates as a backing delete.
-	if err := r.Unlink("/ckpt/a"); err != nil {
+	if _, err := r.Unlink("/ckpt/a"); err != nil {
 		t.Fatal(err)
 	}
 	pumpAll(t, d)

@@ -141,6 +141,12 @@ func TestContextCancellation(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
+	if err := c.UnlinkContext(dead, "/ctx.bin"); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("UnlinkContext(dead) = %v, want ErrCanceled", err)
+	}
+	if _, _, err := c.Stat("/ctx.bin"); err != nil {
+		t.Fatalf("a canceled unlink removed the file: %v", err)
+	}
 	_, werr := f.WriteContext(dead, data)
 	if !errors.Is(werr, ErrCanceled) {
 		t.Fatalf("WriteContext(dead) = %v, want ErrCanceled", werr)

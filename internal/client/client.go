@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -563,27 +564,42 @@ func (c *Client) call(ctx context.Context, path string, req *transport.Request) 
 	return nil, lastErr
 }
 
+// spread runs fn(i) in parallel for every i in [0, n) that want
+// accepts (nil accepts all). The last one runs on the calling goroutine,
+// so a single target spawns no goroutine and waits on nothing.
+func spread(n int, want func(i int) bool, fn func(i int)) {
+	last := n - 1
+	for want != nil && last >= 0 && !want(last) {
+		last--
+	}
+	if last < 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < last; i++ {
+		if want == nil || want(i) {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				fn(i)
+			}(i)
+		}
+	}
+	fn(last)
+	wg.Wait()
+}
+
 // fanOut sends one request per address in parallel and collects the
 // responses in address order. A transport-level error on any server
 // fails that server over and reports the error; an application error in
 // any response is returned as-is (classified with the exported
 // sentinels).
-func (c *Client) fanOut(ctx context.Context, addrs []string, path string, mk func(i int) *transport.Request) ([]*transport.Response, error) {
+func (c *Client) fanOut(ctx context.Context, addrs []string, path string, mk func() *transport.Request) ([]*transport.Response, error) {
 	resps := make([]*transport.Response, len(addrs))
 	errs := make([]error, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		req := mk(i)
-		if req == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string, req *transport.Request) {
-			defer wg.Done()
-			resps[i], errs[i] = c.callAddr(ctx, addr, path, req)
-		}(i, addr, req)
-	}
-	wg.Wait()
+	spread(len(addrs), nil, func(i int) {
+		resps[i], errs[i] = c.callAddr(ctx, addrs[i], path, mk())
+	})
 	for _, err := range errs {
 		if err != nil {
 			return resps, err
@@ -626,26 +642,35 @@ func (c *Client) OpenFd(path string, create bool) (int, error) {
 }
 
 func (c *Client) open(ctx context.Context, path string, create bool) (int, error) {
+	var (
+		size   int64
+		layout layoutInfo
+		known  bool
+	)
 	if create {
 		set := c.createSet(path)
 		if len(set) == 0 {
 			return -1, fmt.Errorf("client: no servers left")
 		}
 		unit := c.stripeUnit()
-		if _, err := c.fanOut(ctx, set, path, func(int) *transport.Request {
+		resps, err := c.fanOut(ctx, set, path, func() *transport.Request {
 			return &transport.Request{
 				Type:       transport.MsgCreate,
 				Stripes:    len(set),
 				StripeUnit: unit,
 				StripeSet:  set,
 			}
-		}); err != nil {
+		})
+		if err != nil {
 			return -1, err
 		}
+		size, layout, known = c.createdLayout(path, set, resps)
 	}
-	size, _, layout, err := c.statFull(ctx, path)
-	if err != nil {
-		return -1, err
+	if !known {
+		var err error
+		if size, _, layout, err = c.statFull(ctx, path); err != nil {
+			return -1, err
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -657,6 +682,37 @@ func (c *Client) open(ctx context.Context, path string, create bool) (int, error
 		layoutGen: layout.gen,
 	}
 	return fd, nil
+}
+
+// createdLayout reads the file's layout and size from the create
+// replies, each of which names the entry its server created or found —
+// the stat a create would otherwise need. It reports false unless every
+// reply records the set that was sent, under one generation and unit,
+// and the ring owner is in the set (so statFull would have read the same
+// entry); the caller then stats. That covers an existing file with
+// another layout, a generation skew mid-migration, a server that fills
+// no layout (zero Stripes), a directory, and a draining owner.
+func (c *Client) createdLayout(path string, set []string, resps []*transport.Response) (int64, layoutInfo, bool) {
+	r0 := resps[0]
+	lay := layoutInfo{stripes: len(set), unit: r0.StripeUnit, set: set, gen: r0.LayoutGen}
+	if owner, _ := c.ring.Lookup(path); !slices.Contains(set, owner) {
+		return 0, lay, false
+	}
+	sizes := make([]int64, len(resps))
+	for i, r := range resps {
+		if r.IsDir || r.Stripes != len(set) || r.StripeUnit != lay.unit ||
+			r.LayoutGen != lay.gen || !slices.Equal(r.StripeSet, set) {
+			return 0, lay, false
+		}
+		sizes[i] = r.Size
+	}
+	if lay.unit <= 0 {
+		lay.unit = c.opts.StripeUnit
+	}
+	if len(set) == 1 {
+		return sizes[0], lay, true
+	}
+	return fsys.ConsistentTotal(sizes, lay.unit), lay, true
 }
 
 func (c *Client) handle(fd int) (*fileHandle, error) {
@@ -803,19 +859,10 @@ func (c *Client) writeOnce(ctx context.Context, h *fileHandle, p []byte) error {
 		off += int64(n)
 	}
 	errs := make([]error, len(set))
-	var wg sync.WaitGroup
-	for i, addr := range set {
-		if len(spans[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			errs[i] = c.writeStripe(ctx, addr, h.path, i, spans[i],
-				localLen(h.size, i, len(set), unit), h.layoutGen)
-		}(i, addr)
-	}
-	wg.Wait()
+	spread(len(set), func(i int) bool { return len(spans[i]) > 0 }, func(i int) {
+		errs[i] = c.writeStripe(ctx, set[i], h.path, i, spans[i],
+			localLen(h.size, i, len(set), unit), h.layoutGen)
+	})
 	for _, e := range errs {
 		if e != nil && isCanceled(e) {
 			// Cancellation mid-fan-out leaves the stripe state unknown,
@@ -1286,19 +1333,10 @@ func (c *Client) readOnce(ctx context.Context, h *fileHandle, p []byte) (int, er
 		hi[idx] = lhi
 	}
 	errs := make([]error, len(set))
-	var wg sync.WaitGroup
-	for i, addr := range set {
-		if lo[i] < 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			errs[i] = c.readStripe(ctx, addr, h.path, i, len(set), unit,
-				lo[i], hi[i], h.layoutGen, p, g0)
-		}(i, addr)
-	}
-	wg.Wait()
+	spread(len(set), func(i int) bool { return lo[i] >= 0 }, func(i int) {
+		errs[i] = c.readStripe(ctx, set[i], h.path, i, len(set), unit,
+			lo[i], hi[i], h.layoutGen, p, g0)
+	})
 	for _, e := range errs {
 		if e != nil && !retryableLayout(e) {
 			return 0, e
@@ -1601,9 +1639,12 @@ func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool
 		if isCanceled(err) {
 			return 0, false, lay, false, err
 		}
-		resp = c.statAny(ctx, path)
-		if resp == nil {
-			return 0, false, lay, transport.IsStaleLayout(err), err
+		var stale bool
+		if resp, stale = c.statAny(ctx, path); resp == nil {
+			// A stale answer anywhere means the entry is moving: the owner
+			// that said not-exist may be a target whose commit has not
+			// landed yet, so the outcome is worth a retry.
+			return 0, false, lay, stale || transport.IsStaleLayout(err), err
 		}
 	}
 	if resp.IsDir {
@@ -1647,7 +1688,7 @@ func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool
 		}
 		return size, false, lay, false, nil
 	}
-	resps, err := c.fanOut(ctx, live, path, func(int) *transport.Request {
+	resps, err := c.fanOut(ctx, live, path, func() *transport.Request {
 		return &transport.Request{Type: transport.MsgStat, LayoutGen: lay.gen}
 	})
 	if err != nil {
@@ -1675,17 +1716,23 @@ func (c *Client) statOnce(ctx context.Context, path string, tolerateMissing bool
 
 // statAny broadcasts a stat to every connected server and returns the
 // first hit — the fallback path for entries the drifted ring owner no
-// longer holds.
-func (c *Client) statAny(ctx context.Context, path string) *transport.Response {
+// longer holds. With no hit, stale reports whether any server answered
+// stale-layout (a moved marker: the entry is mid-migration, not gone).
+func (c *Client) statAny(ctx context.Context, path string) (*transport.Response, bool) {
+	stale := false
 	for _, p := range c.sortedPools() {
 		resp, err := c.poolCall(ctx, p, &transport.Request{
 			Type: transport.MsgStat, Seq: c.seq.Add(1), Job: c.job, Path: path,
 		})
-		if err == nil && resp.Err == "" {
-			return resp
+		if err != nil {
+			continue
 		}
+		if resp.Err == "" {
+			return resp, false
+		}
+		stale = stale || transport.IsStaleLayout(resp.Error())
 	}
-	return nil
+	return nil, stale
 }
 
 // sortedPools snapshots the live pools in address order — the iteration
@@ -1893,37 +1940,68 @@ func (c *Client) Unlink(path string) error {
 	return c.UnlinkContext(context.Background(), path)
 }
 
-// UnlinkContext is Unlink honoring ctx.
+// UnlinkContext is Unlink honoring ctx. The ring owner unlinks first and
+// its reply names the removed entry's layout, so the remaining holders
+// are known without a stat. When the owner does not hold the entry (the
+// ring drifted since creation, or a migration left a moved marker there)
+// or cannot be reached, the layout comes from statFull instead.
 func (c *Client) UnlinkContext(ctx context.Context, path string) error {
+	if err := ctx.Err(); err != nil {
+		return canceled(err)
+	}
+	owner, ok := c.ring.Lookup(path)
+	if !ok {
+		return fmt.Errorf("client: no servers left")
+	}
+	resp, err := c.callAddr(ctx, owner, path, &transport.Request{Type: transport.MsgUnlink})
+	if err == nil && resp.Err == "" {
+		set := resp.StripeSet
+		if len(set) == 0 {
+			set = c.stripeSet(path, resp.Stripes)
+		}
+		return c.unlinkRest(ctx, path, owner, resp.IsDir, set)
+	}
+	if isCanceled(err) {
+		return err
+	}
+	if err == nil {
+		if werr := resp.Error(); !transport.IsNotExist(werr) && !transport.IsStaleLayout(werr) {
+			return wireErr(werr)
+		}
+	}
 	_, isDir, lay, err := c.statFull(ctx, path)
 	if err != nil {
 		return err
 	}
-	if !isDir {
-		var live []string
-		for _, addr := range lay.set {
-			if _, err := c.ensurePool(addr); err == nil {
-				live = append(live, addr)
+	return c.unlinkRest(ctx, path, "", isDir, lay.set)
+}
+
+// unlinkRest unlinks path on every holder but done (the ring owner that
+// already removed its copy; "" when none has): a file's reachable
+// stripe servers, or every connected server for a directory.
+func (c *Client) unlinkRest(ctx context.Context, path, done string, isDir bool, set []string) error {
+	var targets []string
+	if isDir {
+		for _, p := range c.sortedPools() {
+			if p.Addr() != done {
+				targets = append(targets, p.Addr())
 			}
 		}
-		if len(live) == 0 {
+	} else {
+		for _, addr := range set {
+			if addr == done {
+				continue
+			}
+			if _, err := c.ensurePool(addr); err == nil {
+				targets = append(targets, addr)
+			}
+		}
+		if len(targets) == 0 && done == "" {
 			return fmt.Errorf("client: no live stripe servers hold %s", path)
 		}
-		_, err := c.fanOut(ctx, live, path, func(int) *transport.Request {
-			return &transport.Request{Type: transport.MsgUnlink}
-		})
-		return err
 	}
-	resps, err := c.broadcast(ctx, path, func() *transport.Request {
+	_, err := c.fanOut(ctx, targets, path, func() *transport.Request {
 		return &transport.Request{Type: transport.MsgUnlink}
 	})
-	if err != nil {
-		return err
-	}
-	for _, r := range resps {
-		if r.Err != "" {
-			return wireErr(r.Error())
-		}
-	}
-	return nil
+	return err
 }

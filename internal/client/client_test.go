@@ -17,20 +17,34 @@ import (
 // needs no server fabric: placement is the client's ring).
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
-	return startServersOn(t, n, func(ln net.Listener) net.Listener { return ln })
+	return startServersOn(t, n, nil)
 }
 
 // startServersOn is startServers with each server's listener passed
-// through wrap first.
+// through wrap first (nil passes it as is).
 func startServersOn(t *testing.T, n int, wrap func(net.Listener) net.Listener) []string {
 	t.Helper()
 	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i, s := range launchServers(t, n, wrap) {
+		addrs[i] = s.Addr()
+	}
+	return addrs
+}
+
+// launchServers is startServersOn returning the servers themselves, for
+// tests that inspect them (request counts, per-server state).
+func launchServers(t *testing.T, n int, wrap func(net.Listener) net.Listener) []*server.Server {
+	t.Helper()
+	srvs := make([]*server.Server, n)
+	for i := range srvs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := server.New(wrap(ln), server.Config{
+		if wrap != nil {
+			ln = wrap(ln)
+		}
+		s := server.New(ln, server.Config{
 			Policy: policy.SizeFair,
 			Lambda: 50 * time.Millisecond,
 			Seed:   int64(i + 1),
@@ -38,9 +52,9 @@ func startServersOn(t *testing.T, n int, wrap func(net.Listener) net.Listener) [
 		})
 		go s.Serve()
 		t.Cleanup(s.Close)
-		addrs[i] = s.Addr()
+		srvs[i] = s
 	}
-	return addrs
+	return srvs
 }
 
 func testJob(id string) policy.JobInfo {

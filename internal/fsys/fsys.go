@@ -808,30 +808,33 @@ func (r *Router) Rename(oldPath, newPath string) error {
 			return err
 		}
 	}
-	return r.Unlink(oldPath)
+	_, err = r.Unlink(oldPath)
+	return err
 }
 
-// Unlink removes a file (all stripes) or empty directory.
-func (r *Router) Unlink(p string) error {
+// Unlink removes a file (all stripes) or empty directory, returning the
+// removed entry's metadata (the live server echoes its layout to the
+// client, which then knows where the other stripes live without a stat).
+func (r *Router) Unlink(p string) (FileInfo, error) {
 	p = clean(p)
 	if p == "/" {
-		return ErrNotEmpty
+		return FileInfo{}, ErrNotEmpty
 	}
 	fi, err := r.Stat(p)
 	if err != nil {
-		return err
+		return fi, err
 	}
 	if fi.IsDir {
 		if err := r.owner(p).RemoveEntry(p); err != nil {
-			return err
+			return fi, err
 		}
 	} else {
 		for _, sh := range r.stripeSet(p) {
 			if err := sh.RemoveEntry(p); err != nil {
-				return err
+				return fi, err
 			}
 		}
 	}
 	parent, name := path.Split(p)
-	return r.owner(clean(parent)).RemoveChild(clean(parent), name)
+	return fi, r.owner(clean(parent)).RemoveChild(clean(parent), name)
 }

@@ -110,7 +110,7 @@ func TestUnlinkFreesSpace(t *testing.T) {
 	if sh.Used() == 0 {
 		t.Fatal("no space used after write")
 	}
-	if err := r.Unlink("/x"); err != nil {
+	if _, err := r.Unlink("/x"); err != nil {
 		t.Fatal(err)
 	}
 	if sh.Used() != 0 {
@@ -136,16 +136,16 @@ func TestUnlinkDirectorySemantics(t *testing.T) {
 	if err := r.Create("/d/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Unlink("/d"); err != ErrNotEmpty {
+	if _, err := r.Unlink("/d"); err != ErrNotEmpty {
 		t.Fatalf("unlink non-empty dir: %v", err)
 	}
-	if err := r.Unlink("/d/f"); err != nil {
+	if _, err := r.Unlink("/d/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Unlink("/d"); err != nil {
+	if _, err := r.Unlink("/d"); err != nil {
 		t.Fatalf("unlink empty dir: %v", err)
 	}
-	if err := r.Unlink("/"); err != ErrNotEmpty {
+	if _, err := r.Unlink("/"); err != ErrNotEmpty {
 		t.Fatalf("unlink root: %v", err)
 	}
 }

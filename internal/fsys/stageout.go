@@ -109,10 +109,11 @@ func (s *Shard) HasDirty() bool {
 // harvest is one file's un-staged work, captured under the shard lock
 // and materialized into chunks without it (the index and extent store
 // are independently synchronized, so the data copy — the expensive part
-// — must not stall foreground I/O on the shard mutex).
+// — must not stall foreground I/O on the shard mutex). base is the
+// entry's identity and layout, snapshotted under the lock too.
 type harvest struct {
-	path  string
 	n     *node
+	base  DirtyChunk
 	zero  bool // entry existence not yet staged (new or empty file)
 	spans []storage.Extent
 }
@@ -121,7 +122,12 @@ type harvest struct {
 // (budget <= 0 takes everything) and returns the bytes taken. Caller
 // holds s.mu.
 func (s *Shard) takeLocked(p string, n *node, budget int64) (harvest, int64) {
-	h := harvest{path: p, n: n, zero: n.metaDirty}
+	h := harvest{n: n, zero: n.metaDirty, base: DirtyChunk{
+		Path: p, Gen: n.gen,
+		Stripe: s.stripeOf(n), Stripes: n.stripes, Unit: n.unit,
+		Set:       append([]string(nil), n.set...),
+		LayoutGen: n.layoutGen,
+	}}
 	n.metaDirty = false
 	h.spans = n.dirty.Take(budget)
 	var taken int64
@@ -132,18 +138,17 @@ func (s *Shard) takeLocked(p string, n *node, budget int64) (harvest, int64) {
 }
 
 // chunksOf materializes a harvest into chunks of at most chunkBytes.
-// Called without the shard lock. Spans beyond the file's current size
-// (stale marks from a raced repair) are discarded; a short read inside
-// the size (a store error) re-marks the unread remainder so taken bytes
-// never silently leave the write-back bookkeeping.
+// Called without the shard lock; each chunk's copy takes it shared, so
+// appends proceed while an unlink or replacement, which frees extents
+// for reuse under the exclusive lock, cannot run mid-copy. Once the
+// entry is no longer the harvested node the rest is dropped: its
+// extents may back another file, and a chunk of a gone incarnation
+// would be skipped by generation anyway. Spans beyond the file's
+// current size (stale marks from a raced repair) are discarded; a short
+// read inside the size (a store error) re-marks the unread remainder so
+// taken bytes never silently leave the write-back bookkeeping.
 func (s *Shard) chunksOf(h harvest, chunkBytes int64, out []DirtyChunk) []DirtyChunk {
-	n := h.n
-	base := DirtyChunk{
-		Path: h.path, Gen: n.gen,
-		Stripe: s.stripeOf(n), Stripes: n.stripes, Unit: n.unit,
-		Set:       append([]string(nil), n.set...),
-		LayoutGen: n.layoutGen,
-	}
+	n, base := h.n, h.base
 	emitted := false
 	size := n.index.Size()
 	for si, span := range h.spans {
@@ -160,6 +165,11 @@ func (s *Shard) chunksOf(h harvest, chunkBytes int64, out []DirtyChunk) []DirtyC
 			}
 			buf := make([]byte, end-off)
 			got := 0
+			s.mu.RLock()
+			if s.nodes[base.Path] != n {
+				s.mu.RUnlock()
+				return out
+			}
 			for _, sl := range n.index.Resolve(off, int64(len(buf))) {
 				m, err := s.store.ReadAt(sl.Ext, sl.Off, buf[got:got+int(sl.Len)])
 				got += m
@@ -167,6 +177,7 @@ func (s *Shard) chunksOf(h harvest, chunkBytes int64, out []DirtyChunk) []DirtyC
 					break
 				}
 			}
+			s.mu.RUnlock()
 			if got > 0 {
 				c := base
 				c.Off, c.Data = off, buf[:got]
@@ -352,43 +363,57 @@ func (s *Shard) FilesWithServer(addr string) []string {
 // staged generation so clients still holding the pre-failure layout
 // are detectably stale. The child entry is recorded in the local
 // parent directory if this shard holds it.
+//
+// The content is staged first, then the finished node — extent,
+// generation, clean state — is installed in one critical section, as
+// MigrateCommit does: no reader or stage-out harvest ever sees the path
+// absent, half-written, or under the creation-default generation.
 func (s *Shard) RestoreFile(p string, data []byte, stripes int, unit int64, set []string, layoutGen uint64) error {
 	p = clean(p)
+	if layoutGen == 0 {
+		layoutGen = 1
+	}
+	// Restored content came from (or is immediately restaged to) the
+	// backing store; it starts clean.
+	n := &node{
+		stripes: stripes, unit: unit, set: set, layoutGen: layoutGen,
+		index: storage.NewIndex(), dirty: storage.NewRangeSet(),
+	}
+	if len(data) > 0 {
+		ext, err := s.store.Alloc(int64(len(data)))
+		if err != nil {
+			return err
+		}
+		if _, err := s.store.WriteAt(ext, 0, data); err != nil {
+			_ = s.store.Release(ext)
+			return err
+		}
+		n.index.Append(ext)
+	}
+	// discard unlocks and frees the staged extent (Release only fails for
+	// extents the store did not allocate).
+	discard := func(err error) error {
+		s.mu.Unlock()
+		for _, e := range n.index.Extents() {
+			_ = s.store.Release(e)
+		}
+		return err
+	}
 	s.mu.Lock()
 	if old, ok := s.nodes[p]; ok {
 		if old.isDir {
-			s.mu.Unlock()
-			return ErrIsDir
+			return discard(ErrIsDir)
 		}
 		for _, e := range old.index.Extents() {
 			if err := s.store.Release(e); err != nil {
-				s.mu.Unlock()
-				return err
+				return discard(err)
 			}
 		}
-		delete(s.nodes, p)
 	}
-	s.mu.Unlock()
-	if err := s.CreateEntry(p, false, stripes, unit, set); err != nil {
-		return err
-	}
-	if len(data) > 0 {
-		if _, err := s.Append(p, data); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	if n := s.nodes[p]; n != nil {
-		// Restored content came from (or is immediately restaged to) the
-		// backing store; it starts clean.
-		n.metaDirty = false
-		if n.dirty != nil {
-			n.dirty.Take(0)
-		}
-		if layoutGen > 0 {
-			n.layoutGen = layoutGen
-		}
-	}
+	s.genCtr++
+	n.gen = s.genCtr
+	delete(s.moved, p) // a fresh incarnation supersedes any moved marker
+	s.nodes[p] = n
 	s.mu.Unlock()
 	parent, name := path.Split(p)
 	if parent = clean(parent); parent != p {

@@ -641,6 +641,12 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 				s.migr.MarkDirty()
 			}
 		}
+		// The reply carries the layout of the entry now at the path —
+		// the one just created or the existing one — so the client can
+		// open without a stat round trip. It checks the replies agree.
+		if fi, err := s.shard.Stat(req.Path); err == nil {
+			setLayout(resp, fi)
+		}
 	case transport.MsgOpen:
 		if _, err := s.router.Stat(req.Path); err != nil {
 			return fail(err)
@@ -680,12 +686,7 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 		if err != nil {
 			return fail(err)
 		}
-		resp.Size = fi.Size
-		resp.IsDir = fi.IsDir
-		resp.Stripes = fi.Stripes
-		resp.StripeUnit = fi.StripeUnit
-		resp.StripeSet = fi.StripeSet
-		resp.LayoutGen = fi.LayoutGen
+		setLayout(resp, fi)
 	case transport.MsgMkdir:
 		if err := s.router.Mkdir(req.Path); err != nil {
 			return fail(err)
@@ -697,11 +698,26 @@ func (s *Server) execute(req *transport.Request) *transport.Response {
 		}
 		resp.Names = names
 	case transport.MsgUnlink:
-		if err := s.router.Unlink(req.Path); err != nil {
+		// The removed entry's layout rides back, so the client learns
+		// the other stripe holders from this reply instead of a stat.
+		fi, err := s.router.Unlink(req.Path)
+		if err != nil {
 			return fail(err)
 		}
+		setLayout(resp, fi)
 	}
 	return resp
+}
+
+// setLayout copies an entry's metadata into a reply: Size is the local
+// stripe's, the rest is the recorded layout.
+func setLayout(resp *transport.Response, fi fsys.FileInfo) {
+	resp.Size = fi.Size
+	resp.IsDir = fi.IsDir
+	resp.Stripes = fi.Stripes
+	resp.StripeUnit = fi.StripeUnit
+	resp.StripeSet = fi.StripeSet
+	resp.LayoutGen = fi.LayoutGen
 }
 
 // executeMigrate runs one stripe-migration sub-op on the local shard.
@@ -782,6 +798,11 @@ func (s *Server) controller() {
 				s.wakeN(n)
 			}
 			s.recoverFailed()
+		} else {
+			// Tombstones name staged objects for the drain to delete.
+			// With no backing store there are none, and keeping one per
+			// unlink would grow the heap for the server's lifetime.
+			s.shard.TakeTombstones()
 		}
 		if !s.cfg.RebalanceDisabled {
 			s.rebalanceTick()

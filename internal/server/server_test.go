@@ -254,3 +254,40 @@ func TestLiveBadFd(t *testing.T) {
 		t.Fatal("lseek on bad fd should fail")
 	}
 }
+
+// Without a backing store nothing deletes staged objects, so the λ loop
+// drops unlink tombstones instead of keeping one per unlink.
+func TestTombstonesDroppedWithoutBacking(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(ln, Config{Policy: policy.SizeFair, Lambda: 10 * time.Millisecond, Quiet: true})
+	go s.Serve()
+	defer s.Close()
+	c, err := client.Dial(jobInfo("tomb", 1), []string{s.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 20; i++ {
+		p := fmt.Sprintf("/t%d", i)
+		f, err := c.Open(p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Close()
+		if err := c.Unlink(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two more gossip rounds mean one whole λ iteration ran after the
+	// unlinks (the round counter moves at the start of each).
+	r0 := s.node.GossipRounds()
+	for s.node.GossipRounds() < r0+2 {
+		time.Sleep(time.Millisecond)
+	}
+	if n := len(s.shard.TakeTombstones()); n != 0 {
+		t.Fatalf("%d unlink tombstones kept with no backing store", n)
+	}
+}

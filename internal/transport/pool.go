@@ -179,6 +179,11 @@ func (mc *MuxConn) Call(ctx context.Context, req *Request) (*Response, error) {
 // StartInto). On cancellation it returns only once dst is no longer
 // being written.
 func (mc *MuxConn) CallInto(ctx context.Context, req *Request, dst [][]byte) (*Response, error) {
+	if ctx != nil && ctx.Err() != nil {
+		// Already canceled: send nothing. Otherwise a fast reply could
+		// win the select below and the call would succeed.
+		return nil, ctx.Err()
+	}
 	ch, err := mc.StartInto(req, dst)
 	if err != nil {
 		return nil, err
